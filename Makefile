@@ -10,6 +10,7 @@ dev:
 
 test: trace-smoke bench-smoke serve-smoke compile-smoke quantize-smoke sparsity-smoke chaos-smoke telemetry-smoke fleet-smoke gray-smoke
 	pytest tests/
+	PYTHONPATH=src python -m pytest steadybench
 
 # Capture one trace + metrics sidecar and validate both against their
 # schemas (docs/observability.md) — cheap end-to-end observability check.

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -72,7 +73,6 @@ from .passes import (
     _FOLDABLE,
     _PlanNode,
     _conv_geometry,
-    _fold_bn_into,
     PassResult,
     Pipeline,
     Transform,
@@ -95,7 +95,7 @@ class CompileConfig:
 
     Every config maps to an ordered list of :mod:`repro.nn.passes`
     passes via :meth:`Pipeline.from_config` (see :meth:`pipeline_spec`);
-    the plan builders then consume the resulting transform.  The default
+    the plan builder then consumes the resulting transform.  The default
     enables folding/fusion; :meth:`exact` is the bit-exact preset
     serving uses for its deterministic (``bitexact``) path.
     """
@@ -103,11 +103,7 @@ class CompileConfig:
     fold_bn: bool = True            #: fold BatchNorm into producer weights
     fuse_activations: bool = True   #: in-place activation post-ops
     constant_fold: bool = True      #: precompute BN scale/shift constants
-    arena: bool = True              #: liveness-based buffer reuse
     quantize: bool = False          #: int8 PTQ plan (see :meth:`int8`)
-    quantize_bits: int = 8          #: weight/activation code width
-    calibration_batches: int = 2    #: observer batches for activation ranges
-    calibration_seed: int = 2021    #: seed of the synthetic calibration data
     sparsity: float = 0.0           #: magnitude-prune target (0 = no prune)
     prune_scope: str = "layer"      #: "layer" or "global" threshold scope
     #: Per-layer sparsity overrides as ``((name, target), ...)`` pairs —
@@ -243,9 +239,8 @@ class _Arena:
     always taken at slab offset 0, so alignment holds for every dtype.
     """
 
-    def __init__(self, dtype: np.dtype, enabled: bool = True) -> None:
+    def __init__(self, dtype: np.dtype) -> None:
         self.dtype = np.dtype(dtype)  # default dtype for acquire()
-        self.enabled = enabled
         self.slabs: List[np.ndarray] = []
         self.dedicated: List[np.ndarray] = []
         self._free: List[np.ndarray] = []
@@ -256,14 +251,11 @@ class _Arena:
         """Returns ``(slab, view)``; pass ``slab`` back to :meth:`release`."""
         dt = self.dtype if dtype is None else np.dtype(dtype)
         nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        slab = None
-        if self.enabled:
-            fits = [(s.nbytes, i) for i, s in enumerate(self._free)
-                    if s.nbytes >= nbytes]
-            if fits:
-                _, i = min(fits)
-                slab = self._free.pop(i)
-        if slab is None:
+        fits = [(s.nbytes, i) for i, s in enumerate(self._free)
+                if s.nbytes >= nbytes]
+        if fits:
+            slab = self._free.pop(min(fits)[1])
+        else:
             slab = np.empty(nbytes, dtype=np.uint8)
             self.slabs.append(slab)
         return slab, slab[:nbytes].view(dt).reshape(shape)
@@ -353,8 +345,8 @@ class InferencePlan:
         steps: List[Callable[[], None]],
         labels: List[str],
         stats: PlanStats,
-        step_names: Optional[List[str]] = None,
-        step_views: Optional[List[np.ndarray]] = None,
+        step_names: List[str],
+        step_views: List[np.ndarray],
     ) -> None:
         self.name = name
         self.config = config
@@ -370,8 +362,8 @@ class InferencePlan:
         self._input = input_view
         self._output = output_view
         self._steps = steps
-        self._step_names = step_names or []
-        self._step_views = step_views or []
+        self._step_names = step_names
+        self._step_views = step_views
         self._lock = threading.Lock()
 
     @property
@@ -424,8 +416,6 @@ class InferencePlan:
         reused between steps but never during one, so the view passed to
         the callback holds exactly that step's output.
         """
-        if len(self._step_views) != len(self._steps):
-            raise RuntimeError("plan was built without step output views")
         x = np.asarray(x)
         with self._lock:
             np.copyto(self._input, x)
@@ -472,12 +462,7 @@ def compile_executor(
                            batch=input_shape[0], int8=config.quantize):
         pipeline = Pipeline.from_config(config)
         transform = pipeline.run(executor, network, input_shape, config)
-        if config.quantize:
-            plan = _build_int8_plan(executor, network, input_shape, config,
-                                    transform)
-        else:
-            plan = _build_plan(executor, network, input_shape, config,
-                               transform)
+        plan = _build_plan(transform)
     plan.stats.compile_ms = (time.perf_counter() - start) * 1000.0
     plan.pass_results = transform.results
     plan.packing = transform.packing
@@ -511,15 +496,23 @@ def compile_executor(
     return plan
 
 
-def _build_plan(
-    executor, network: Network, input_shape: Tuple[int, ...],
-    config: CompileConfig, transform: Transform,
-) -> InferencePlan:
-    n = input_shape[0]
+def _build_plan(transform: Transform) -> InferencePlan:
+    """The one plan driver every flavor compiles through.
+
+    It owns the step order, ref-count liveness over the arena, labels,
+    step names/views and :class:`PlanStats`.  Each step is lowered by
+    :func:`_build_step` (float NCHW) or, for ``config.quantize``, by
+    :func:`_build_int8_step` (NHWC codes) between a ``QuantizeInput``
+    prologue and a ``Dequantize`` epilogue.
+    """
+    network, config = transform.network, transform.config
+    input_shape = transform.input_shape
+    quantized = config.quantize
     dtype = np.dtype(np.float32)
-    for p in executor.parameters():
-        dtype = p.dtype
-        break
+    if not quantized:
+        for p in transform.executor.parameters():
+            dtype = p.dtype
+            break
 
     plan_nodes = transform.plan_nodes
     produced_by: Dict[str, int] = {}
@@ -528,52 +521,94 @@ def _build_plan(
             if part is not None:
                 produced_by[part.name] = i
 
+    def sources(pn: _PlanNode) -> List[int]:
+        """Producing step of each input; -1 is the plan input."""
+        return [produced_by[src] for src in pn.node.inputs] or [-1]
+
     # Liveness: how many plan steps read each buffer (+1 for the output).
-    refs = [0] * len(plan_nodes)
-    for pn in plan_nodes:
-        for src in pn.node.inputs:
-            refs[produced_by[src]] += 1
+    refs = Counter(j for pn in plan_nodes for j in sources(pn))
     refs[len(plan_nodes) - 1] += 1
 
-    arena = _Arena(dtype, enabled=config.arena)
+    arena = _Arena(dtype)
     input_view = arena.dedicate(np.zeros(input_shape, dtype=dtype))
-    buffers: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(plan_nodes)
     naive_bytes = input_view.nbytes
     steps: List[Callable[[], None]] = []
     labels: List[str] = []
     step_names: List[str] = []
     step_views: List[np.ndarray] = []
-    folded = fused = 0
+    folded = fused = int8_ops = fallbacks = 0
 
-    def in_views(pn: _PlanNode) -> List[np.ndarray]:
-        if not pn.node.inputs:
-            return [input_view]
-        return [buffers[produced_by[src]][1] for src in pn.node.inputs]
+    def emit(step, label: str, name: str, view: np.ndarray) -> None:
+        steps.append(step)
+        labels.append(label)
+        step_names.append(name)
+        step_views.append(view)
+
+    # step index -> (slab or None when never released, view, repr)
+    buffers: Dict[int, tuple] = {-1: (None, input_view, None)}
+    if quantized:
+        # Implicit first step: quantize + transpose the float NCHW input
+        # into int8 NHWC codes (one fused multiply/round/cast pass).
+        nb, c_in, h_in, w_in = input_shape
+        s_input = _scale_for(transform.amax, "__input__")
+        q_in_slab, q_in = arena.acquire((nb, h_in, w_in, c_in), np.int8)
+        scr_slab, scr = arena.acquire((nb, h_in, w_in, c_in), np.float32)
+        arena.release(scr_slab)
+        naive_bytes += q_in.nbytes + scr.nbytes
+
+        def quantize_input(src=input_view, scr=scr, out=q_in,
+                           inv=1.0 / s_input, lv=_LEVELS):
+            np.multiply(src.transpose(0, 2, 3, 1), inv, out=scr)
+            np.rint(scr, out=scr)
+            np.clip(scr, -lv, lv, out=scr)
+            np.copyto(out, scr, casting="unsafe")
+
+        emit(quantize_input, "QuantizeInput", "__input__", q_in)
+        int8_ops += 1
+        buffers[-1] = (q_in_slab, q_in, _Repr("i8", s_input, "__input__"))
 
     for idx, pn in enumerate(plan_nodes):
-        inputs = in_views(pn)
-        step, out_entry, extra_bytes = _build_step(
-            executor, pn, inputs, arena, config, n, transform
-        )
-        buffers[idx] = out_entry
-        naive_bytes += out_entry[1].nbytes + extra_bytes
-        steps.append(step)
-        labels.append(pn.label)
-        step_names.append(pn.out_name)
-        step_views.append(out_entry[1])
+        entries = [buffers[j][1:] for j in sources(pn)]
+        if quantized:
+            step, (slab, out), rep, extra, native = _build_int8_step(
+                transform, pn, entries, arena)
+            label = pn.label + (":int8" if native else ":float")
+            int8_ops += native
+            fallbacks += not native
+        else:
+            step, (slab, out), extra = _build_step(
+                transform, pn, [v for v, _ in entries], arena)
+            rep, label = None, pn.label
+        buffers[idx] = (slab, out, rep)
+        naive_bytes += out.nbytes + extra
+        emit(step, label, pn.out_name, out)
         folded += pn.bn is not None
         fused += pn.act is not None
         # Release buffers whose last consumer this step was.
-        for src in pn.node.inputs:
-            j = produced_by[src]
+        for j in sources(pn):
             refs[j] -= 1
-            if refs[j] == 0 and buffers[j] is not None:
+            if refs[j] == 0 and buffers[j][0] is not None:
                 arena.release(buffers[j][0])
 
-    output_view = buffers[-1][1]
+    _, output_view, last_repr = buffers[len(plan_nodes) - 1]
+    if quantized and (last_repr.kind == "i8" or output_view.ndim == 4):
+        # Implicit last step: hand back float in the eager layout.
+        src = output_view.transpose(0, 3, 1, 2) if output_view.ndim == 4 \
+            else output_view
+        _, final_out = arena.acquire(src.shape, np.float32)
+        naive_bytes += final_out.nbytes
+        scale = last_repr.scale if last_repr.kind == "i8" else 1.0
+
+        def dequantize(src=src, out=final_out, s=scale):
+            np.multiply(src, s, out=out)
+
+        emit(dequantize, "Dequantize", "__output__", final_out)
+        int8_ops += last_repr.kind == "i8"
+        output_view = final_out
+
     stats = PlanStats(
         network=network.name,
-        batch=n,
+        batch=input_shape[0],
         input_shape=input_shape,
         nodes=len(network),
         ops=len(steps),
@@ -582,6 +617,8 @@ def _build_plan(
         arena_bytes=arena.total_bytes + input_view.nbytes,
         pooled_bytes=arena.pooled_bytes,
         naive_bytes=naive_bytes,
+        int8_ops=int8_ops,
+        int8_fallbacks=fallbacks,
     )
     return InferencePlan(
         name=network.name, config=config, input_view=input_view,
@@ -591,19 +628,21 @@ def _build_plan(
 
 
 def _build_step(
-    executor, pn: _PlanNode, inputs: List[np.ndarray], arena: _Arena,
-    config: CompileConfig, n: int, transform: Transform,
+    transform: Transform, pn: _PlanNode, inputs: List[np.ndarray],
+    arena: _Arena,
 ):
-    """One plan step: returns ``(closure, (slab, out_view), scratch_bytes)``.
+    """One float NCHW step: ``(closure, (slab, out_view), scratch_bytes)``.
 
     The closure captures every constant — weights, views, einsum path —
     so the per-run body is only the irreducible numpy calls.  Weights
-    come from the transform (folded/pruned/packed overrides) when a pass
-    produced them, otherwise straight from the module.
+    come from :meth:`Transform.weight_for` (folded/pruned/packed
+    overrides when a pass produced them, else the module's own).
     """
+    executor = transform.executor
     node = pn.node
     spec = node.layer
     x = inputs[0]
+    n = x.shape[0]
     dtype = arena.dtype
     extra_bytes = 0
 
@@ -633,14 +672,9 @@ def _build_step(
 
     # ----------------------------------------------------------- conv-like
     if isinstance(spec, _FOLDABLE) and not isinstance(spec, ir.Linear):
-        module = executor.module_for(node.name)
-        w4, bias, stride_hw, padding, groups = _conv_geometry(module, node)
-        override = transform.weights.get(node.name)
-        if override is not None:
-            w4, bias = override
-        elif pn.bn is not None:
-            bn_module = executor.module_for(pn.bn.name)
-            w4, bias = _fold_bn_into(w4, bias, bn_module)
+        _, _, stride_hw, padding, groups = _conv_geometry(
+            executor.module_for(node.name), node)
+        w4, bias = transform.weight_for(node)
         out_shape, pads = _conv_out_shape(x.shape, w4, stride_hw, padding, groups)
         top, bottom, left, right = pads
         pad_buf = None
@@ -731,15 +765,7 @@ def _build_step(
 
     # -------------------------------------------------------------- linear
     if isinstance(spec, ir.Linear):
-        module = executor.module_for(node.name)
-        weight = module.weight.data
-        bias = module.bias.data if module.bias is not None else None
-        override = transform.weights.get(node.name)
-        if override is not None:
-            weight, bias = override
-        elif pn.bn is not None:
-            bn_module = executor.module_for(pn.bn.name)
-            weight, bias = _fold_bn_into(weight, bias, bn_module)
+        weight, bias = transform.weight_for(node)
         wt = weight.T
         out_shape = (n, weight.shape[0])
 
@@ -753,10 +779,9 @@ def _build_step(
     # ---------------------------------------------------------- batch norm
     if isinstance(spec, ir.BatchNorm):
         module: BatchNorm2d = executor.module_for(node.name)
-        if config.constant_fold:
-            const = transform.constants.get(node.name)
-            scale, shift = const if const is not None \
-                else module.inference_scale_shift()
+        const = transform.constants.get(node.name)  # set by constant_fold
+        if const is not None:
+            scale, shift = const
             view = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
             scale_v = scale.reshape(view).astype(dtype)
             shift_v = shift.reshape(view).astype(dtype)
@@ -885,9 +910,9 @@ def _build_step(
 
 # ------------------------------------------------------------- int8 plan
 #
-# The quantized plan (``CompileConfig.int8()``) is a separate builder
-# sharing the fuse pass, geometry helpers and arena with the float one.
-# Differences:
+# The quantized plan (``CompileConfig.int8()``) runs through the same
+# driver (:func:`_build_plan`) with :func:`_build_int8_step` lowering each
+# step.  Differences from the float lowering:
 #
 # * **channels-last** — int8 buffers are NHWC internally; contiguous
 #   channel-axis passes make the depthwise tap loop ~2.7x faster than
@@ -896,8 +921,8 @@ def _build_step(
 # * **per-node representation** — every produced buffer is either int8
 #   codes with a scale (symmetric, zero-point 0) or plain float; ops
 #   with integer kernels consume/produce codes, everything else falls
-#   back to float *per op* (``PlanStats.int8_fallbacks``, surfaced as
-#   the ``runtime.int8_fallbacks`` gauge);
+#   back to the float lowering *per op* (``PlanStats.int8_fallbacks``,
+#   surfaced as the ``runtime.int8_fallbacks`` gauge);
 # * **requantize fused at op boundaries** — each integer GEMM rescales
 #   its int32-valued accumulator straight to the consumer's grid, with
 #   ReLU/ReLU6 folded into the clip bounds and curved activations
@@ -910,9 +935,12 @@ def _build_step(
 # observed) over a few seeded standard-normal batches — the same
 # distribution serving inputs are drawn from (``make_input``).
 
-#: Activations requantized through a 256-entry LUT (the rest fold into
-#: the requantize clip bounds).
-_INT8_LUT_ACTS = ("hswish", "hsigmoid", "sigmoid", "swish")
+#: Weight/activation code width: symmetric codes in [-_LEVELS, _LEVELS].
+_QUANT_BITS = 8
+_LEVELS = 2 ** (_QUANT_BITS - 1) - 1
+#: Synthetic calibration set used when no ``calibration_data`` is given.
+_CALIBRATION_BATCHES = 2
+_CALIBRATION_SEED = 2021
 
 
 @dataclass
@@ -924,12 +952,12 @@ class _Repr:
     name: str = ""      # producing step's out_name (range lookup)
 
 
-def _scale_for(amax: Dict[str, float], name: str, levels: int) -> float:
+def _scale_for(amax: Dict[str, float], name: str) -> float:
     a = amax.get(name, 0.0)
-    return a / levels if a > 0 else 1.0
+    return a / _LEVELS if a > 0 else 1.0
 
 
-def _act_requant(act: Optional[Node], s_out: float, levels: int):
+def _act_requant(act: Optional[Node], s_out: float):
     """(direct, low, high, post) of a fused activation at requantize time.
 
     ``direct`` activations (none / ReLU / ReLU6) fold entirely into the
@@ -940,30 +968,28 @@ def _act_requant(act: Optional[Node], s_out: float, levels: int):
     grid — no intermediate 8-bit rounding.
     """
     if act is None:
-        return True, -levels, levels, None
+        return True, -_LEVELS, _LEVELS, None
     fn = act.layer.fn
     if fn == "relu":
-        return True, 0, levels, None
+        return True, 0, _LEVELS, None
     if fn == "relu6":
-        return True, 0, min(levels, int(round(6.0 / s_out))), None
-    return False, -levels, levels, _act_post_op(fn)
+        return True, 0, min(_LEVELS, int(round(6.0 / s_out))), None
+    return False, -_LEVELS, _LEVELS, _act_post_op(fn)
 
-def _calibrate_activations(
-    executor, network: Network, input_shape: Tuple[int, ...],
-    config: CompileConfig, transform: Optional[Transform] = None,
-) -> Dict[str, float]:
+
+def _calibrate_activations(transform: Transform) -> Dict[str, float]:
     """Observer pass: per-step max-abs ranges from a float folded plan.
 
     The calibration plan folds BN like the int8 plan but keeps
     activations *unfused*, so every conv's pre-activation range and
-    every activation's post-range get their own observer entry.  When
-    the main pipeline's ``transform`` is given (sparse presets), its
-    weight overrides are copied into the calibration plan so observed
-    ranges match the pruned weights the int8 plan actually executes.
+    every activation's post-range get their own observer entry.  The
+    transform's weight overrides are copied into the calibration plan
+    so observed ranges match the (possibly pruned) weights the int8
+    plan actually executes.
     """
+    config, input_shape = transform.config, transform.input_shape
     calib_config = CompileConfig(fold_bn=config.fold_bn,
-                                 fuse_activations=False,
-                                 constant_fold=True, arena=config.arena)
+                                 fuse_activations=False, constant_fold=True)
     if config.calibration_data is not None:
         batches = [np.asarray(b, dtype=np.float32)
                    for b in config.calibration_data]
@@ -980,193 +1006,32 @@ def _calibrate_activations(
                 f"plan input is {tuple(input_shape)} (C, H, W must match)")
         calib_shape = batches[0].shape
     else:
-        rng = np.random.default_rng(config.calibration_seed)
+        rng = np.random.default_rng(_CALIBRATION_SEED)
         calib_shape = input_shape
-        batches = [
-            rng.standard_normal(input_shape).astype(np.float32)
-            for _ in range(max(1, config.calibration_batches))
-        ]
+        batches = [rng.standard_normal(input_shape).astype(np.float32)
+                   for _ in range(_CALIBRATION_BATCHES)]
     calib_tf = Pipeline.from_config(calib_config).run(
-        executor, network, calib_shape, calib_config)
-    if transform is not None:
-        calib_tf.weights.update(transform.weights)
-    calib_plan = _build_plan(executor, network, calib_shape, calib_config,
-                             calib_tf)
-    observers = observe_plan(calib_plan, batches)
+        transform.executor, transform.network, calib_shape, calib_config)
+    calib_tf.weights.update(transform.weights)
+    observers = observe_plan(_build_plan(calib_tf), batches)
     return {name: obs.amax for name, obs in observers.items()}
 
 
-def _build_int8_plan(
-    executor, network: Network, input_shape: Tuple[int, ...],
-    config: CompileConfig, transform: Transform,
-) -> InferencePlan:
-    if not 2 <= config.quantize_bits <= 8:
-        raise NotImplementedError(
-            f"int8 plans support quantize_bits in [2, 8], "
-            f"got {config.quantize_bits}")
-    levels = 2 ** (config.quantize_bits - 1) - 1
-    amax = transform.amax
-    if amax is None:  # pipeline ran without the quantize pass
-        amax = _calibrate_activations(executor, network, input_shape, config,
-                                      transform)
-
-    n = input_shape[0]
-    plan_nodes = transform.plan_nodes
-    produced_by: Dict[str, int] = {}
-    for i, pn in enumerate(plan_nodes):
-        for part in (pn.node, pn.bn, pn.act):
-            if part is not None:
-                produced_by[part.name] = i
-
-    refs = [0] * len(plan_nodes)
-    input_refs = 0
-    for pn in plan_nodes:
-        if not pn.node.inputs:
-            input_refs += 1
-        for src in pn.node.inputs:
-            refs[produced_by[src]] += 1
-    refs[len(plan_nodes) - 1] += 1
-
-    arena = _Arena(np.float32, enabled=config.arena)
-    input_view = arena.dedicate(np.zeros(input_shape, dtype=np.float32))
-    naive_bytes = input_view.nbytes
-    steps: List[Callable[[], None]] = []
-    labels: List[str] = []
-    step_names: List[str] = []
-    step_views: List[np.ndarray] = []
-    folded = fused = int8_ops = fallbacks = 0
-
-    # Implicit first step: quantize + transpose the float NCHW input into
-    # int8 NHWC codes (one fused multiply/round/cast pass).
-    nb, c_in, h_in, w_in = input_shape
-    s_input = _scale_for(amax, "__input__", levels)
-    q_in_slab, q_in = arena.acquire((nb, h_in, w_in, c_in), np.int8)
-    scr_slab, scr = arena.acquire((nb, h_in, w_in, c_in), np.float32)
-    arena.release(scr_slab)
-    naive_bytes += q_in.nbytes + scr.nbytes
-
-    def quantize_input(src=input_view, scr=scr, out=q_in,
-                       inv=1.0 / s_input, lv=levels):
-        np.multiply(src.transpose(0, 2, 3, 1), inv, out=scr)
-        np.rint(scr, out=scr)
-        np.clip(scr, -lv, lv, out=scr)
-        np.copyto(out, scr, casting="unsafe")
-
-    steps.append(quantize_input)
-    labels.append("QuantizeInput")
-    step_names.append("__input__")
-    step_views.append(q_in)
-    int8_ops += 1
-
-    buffers: List[Optional[Tuple[np.ndarray, np.ndarray]]] = \
-        [None] * len(plan_nodes)
-    reprs: List[Optional[_Repr]] = [None] * len(plan_nodes)
-    input_entry = (q_in, _Repr("i8", s_input, "__input__"))
-
-    def in_entries(pn: _PlanNode):
-        if not pn.node.inputs:
-            return [input_entry]
-        return [
-            (buffers[produced_by[src]][1], reprs[produced_by[src]])
-            for src in pn.node.inputs
-        ]
-
-    for idx, pn in enumerate(plan_nodes):
-        entries = in_entries(pn)
-        step, out_entry, out_repr, extra_bytes, native = _build_int8_step(
-            executor, pn, entries, arena, config, n, amax, levels,
-            is_last=(idx == len(plan_nodes) - 1), transform=transform,
-        )
-        buffers[idx] = out_entry
-        reprs[idx] = out_repr
-        naive_bytes += out_entry[1].nbytes + extra_bytes
-        steps.append(step)
-        labels.append(pn.label + (":int8" if native else ":float"))
-        step_names.append(pn.out_name)
-        step_views.append(out_entry[1])
-        folded += pn.bn is not None
-        fused += pn.act is not None
-        int8_ops += native
-        fallbacks += not native
-        if not pn.node.inputs:
-            input_refs -= 1
-            if input_refs == 0:
-                arena.release(q_in_slab)
-        for src in pn.node.inputs:
-            j = produced_by[src]
-            refs[j] -= 1
-            if refs[j] == 0 and buffers[j] is not None:
-                arena.release(buffers[j][0])
-
-    # Implicit last step: hand back float in the eager layout.
-    last_view = buffers[-1][1]
-    last_repr = reprs[-1]
-    if last_repr.kind == "i8" or last_view.ndim == 4:
-        if last_view.ndim == 4:
-            nb2, h2, w2, c2 = last_view.shape
-            out_shape = (nb2, c2, h2, w2)
-        else:
-            out_shape = last_view.shape
-        out_slab, final_out = arena.acquire(out_shape, np.float32)
-        naive_bytes += final_out.nbytes
-        src4 = last_view.transpose(0, 3, 1, 2) if last_view.ndim == 4 \
-            else last_view
-        if last_repr.kind == "i8":
-            def finalize(src=src4, out=final_out, s=last_repr.scale):
-                np.multiply(src, s, out=out)
-        else:
-            def finalize(src=src4, out=final_out):
-                np.copyto(out, src)
-        steps.append(finalize)
-        labels.append("Dequantize")
-        step_names.append("__output__")
-        step_views.append(final_out)
-        int8_ops += last_repr.kind == "i8"
-        output_view = final_out
-    else:
-        output_view = last_view
-
-    stats = PlanStats(
-        network=network.name,
-        batch=n,
-        input_shape=input_shape,
-        nodes=len(network),
-        ops=len(steps),
-        folded_bn=folded,
-        fused_activations=fused,
-        arena_bytes=arena.total_bytes + input_view.nbytes,
-        pooled_bytes=arena.pooled_bytes,
-        naive_bytes=naive_bytes,
-        int8_ops=int8_ops,
-        int8_fallbacks=fallbacks,
-    )
-    _log.info(
-        "built int8 plan", network=network.name, batch=n,
-        int8_ops=int8_ops, fallbacks=fallbacks,
-        arena_kib=f"{stats.arena_bytes / 1024:.0f}",
-    )
-    return InferencePlan(
-        name=network.name, config=config, input_view=input_view,
-        output_view=output_view, steps=steps, labels=labels, stats=stats,
-        step_names=step_names, step_views=step_views,
-    )
-
 def _build_int8_step(
-    executor, pn: _PlanNode, entries, arena: _Arena, config: CompileConfig,
-    n: int, amax: Dict[str, float], levels: int, is_last: bool,
-    transform: Transform,
+    transform: Transform, pn: _PlanNode, entries, arena: _Arena,
 ):
-    """One int8 plan step.
+    """One int8 plan step over ``entries`` — ``(view, _Repr)`` per input.
 
     Returns ``(closure, (slab, out_view), out_repr, extra_bytes,
     int8_native)``.  Scratch slabs are acquired before the output buffer
     and released together at the end (so no two buffers of this step
     alias), then recycled by later steps — safe because a scratch is
-    only written while its own step runs.
+    only written while its own step runs.  Ops without an integer kernel
+    for their inputs go through :func:`_build_step` (``fallback``).
     """
+    executor, amax, levels = transform.executor, transform.amax, _LEVELS
     node = pn.node
     spec = node.layer
-    bits = config.quantize_bits
     x_view, x_repr = entries[0]
     extra = 0
     scratch_slabs: List[np.ndarray] = []
@@ -1187,7 +1052,7 @@ def _build_int8_step(
         """(prep, codes, scale): quantize a float input on the fly."""
         if rep.kind == "i8":
             return None, view, rep.scale
-        s = _scale_for(amax, rep.name, levels)
+        s = _scale_for(amax, rep.name)
         qv = take(view.shape, np.int8)
         fv = take(view.shape, np.float32)
 
@@ -1237,7 +1102,7 @@ def _build_int8_step(
         curved ones keep the accumulator in the value domain (multiplier
         ``s_in·s_w``, real bias) for the analytic float post-op.
         """
-        direct, low, high, post = _act_requant(pn.act, s_out, levels)
+        direct, low, high, post = _act_requant(pn.act, s_out)
         target = s_out if direct else 1.0
         m_row = (s_in * np.asarray(sw_vec, np.float64) / target) \
             .astype(np.float32)
@@ -1251,16 +1116,41 @@ def _build_int8_step(
             post = post_fn
         return m_row, b_row, low, high, post, post_scr
 
+    def fallback():
+        """Per-op float fallback through the NCHW float lowering.
+
+        Float inputs are read through NCHW views of their NHWC buffers,
+        codes are dequantized into NCHW float scratch, and the float
+        output is handed on as an NHWC view of its own buffer — the
+        float kernels all take strided inputs, so nothing is copied back
+        to channels-last.
+        """
+        nonlocal extra
+        inputs, codes = [], []
+        for view, rep in entries:
+            nchw = view.transpose(0, 3, 1, 2) if view.ndim == 4 else view
+            if rep.kind == "i8":
+                buf = take(nchw.shape, np.float32)
+                codes.append((nchw, rep.scale, buf))
+                nchw = buf
+            inputs.append(nchw)
+        run, (slab, out), step_extra = _build_step(
+            transform, pn, inputs, arena)
+        extra += step_extra
+
+        def step(codes=tuple(codes), run=run):
+            for src, scale, buf in codes:
+                np.multiply(src, scale, out=buf)
+            run()
+
+        view = out.transpose(0, 2, 3, 1) if out.ndim == 4 else out
+        return done(step, (slab, view), _Repr("f32", name=pn.out_name), False)
+
     # ----------------------------------------------------------- conv-like
     if isinstance(spec, _FOLDABLE) and not isinstance(spec, ir.Linear):
-        module = executor.module_for(node.name)
-        w4, bias, stride_hw, padding, groups = _conv_geometry(module, node)
-        override = transform.weights.get(node.name)
-        if override is not None:
-            w4, bias = override
-        elif pn.bn is not None:
-            w4, bias = _fold_bn_into(
-                w4, bias, executor.module_for(pn.bn.name))
+        _, _, stride_hw, padding, groups = _conv_geometry(
+            executor.module_for(node.name), node)
+        w4, bias = transform.weight_for(node)
         nb, h, w, c = x_view.shape
         nchw = (nb, c, h, w)
         out_nchw, pads = _conv_out_shape(nchw, w4, stride_hw, padding, groups)
@@ -1276,8 +1166,8 @@ def _build_int8_step(
 
         if depthwise or pointwise or dense:
             prep, xq, s_in = as_codes(x_view, x_repr)
-            s_out = _scale_for(amax, pn.out_name, levels)
-            wq, sw_vec = quantize_weights(w4, bits=bits, axis=0)
+            s_out = _scale_for(amax, pn.out_name)
+            wq, sw_vec = quantize_weights(w4, bits=_QUANT_BITS, axis=0)
 
             if depthwise:
                 w_lanes = wq.reshape(c, kh, kw).transpose(1, 2, 0) \
@@ -1380,70 +1270,15 @@ def _build_int8_step(
             return done(step, (slab, out),
                         _Repr("i8", s_out, pn.out_name), True)
 
-        # grouped conv without an integer kernel: per-op float fallback
-        # (dequantize → NCHW float conv → back to NHWC float).
-        x_f = take(nchw, np.float32)
-        out_f = take(out_nchw, np.float32)
-        post, needs_scratch = (None, False) if pn.act is None \
-            else _act_post_op(pn.act.layer.fn)
-        post_scr = take(out_nchw, np.float32) if needs_scratch else None
-        slab, out = arena.acquire(out_shape, np.float32)
-
-        def step(x_view=x_view, x_repr=x_repr, x_f=x_f, w4=w4, bias=bias,
-                 stride=stride_hw, padding=padding, groups=groups,
-                 out_f=out_f, post=post, post_scr=post_scr, out=out):
-            src = x_view.transpose(0, 3, 1, 2)
-            if x_repr.kind == "i8":
-                np.multiply(src, x_repr.scale, out=x_f)
-            else:
-                np.copyto(x_f, src)
-            F.conv2d_infer(x_f, w4, bias, stride, padding, groups, out=out_f)
-            if post is not None:
-                post(out_f, post_scr)
-            np.copyto(out, out_f.transpose(0, 2, 3, 1))
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return fallback()  # grouped conv: no integer kernel
 
     # -------------------------------------------------------------- linear
     if isinstance(spec, ir.Linear):
-        module = executor.module_for(node.name)
-        weight = module.weight.data
-        bias = module.bias.data if module.bias is not None else None
-        override = transform.weights.get(node.name)
-        if override is not None:
-            weight, bias = override
-        elif pn.bn is not None:
-            weight, bias = _fold_bn_into(
-                weight, bias, executor.module_for(pn.bn.name))
-        c_out, k_depth = weight.shape
-        out_shape = (n, c_out)
-
         # Linear layers stay float: int8 buys them nothing here (the
         # GEMM already runs on the same BLAS lanes either way) and the
         # classifier head is where PTQ error hurts top-1 agreement the
         # most.  Counted as fallback steps.
-        wt = weight.T.astype(np.float32)
-        post, needs_scratch = (None, False) if pn.act is None \
-            else _act_post_op(pn.act.layer.fn)
-        post_scr = take(out_shape, np.float32) if needs_scratch else None
-        x_f = take(x_view.shape, np.float32) \
-            if x_repr.kind == "i8" else None
-        slab, out = arena.acquire(out_shape, np.float32)
-
-        def step(x_view=x_view, x_repr=x_repr, x_f=x_f, wt=wt,
-                 bias=bias, out=out, post=post, post_scr=post_scr):
-            if x_f is not None:
-                np.multiply(x_view, x_repr.scale, out=x_f)
-                src = x_f
-            else:
-                src = x_view
-            np.matmul(src, wt, out=out)
-            if bias is not None:
-                np.add(out, bias, out=out)
-            if post is not None:
-                post(out, post_scr)
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return fallback()
 
     # ---------------------------------------------------------- batch norm
     if isinstance(spec, ir.BatchNorm):
@@ -1451,7 +1286,7 @@ def _build_int8_step(
         scale, shift = module.inference_scale_shift()
         if x_repr.kind == "i8":
             s_in = x_repr.scale
-            s_out = _scale_for(amax, pn.out_name, levels)
+            s_out = _scale_for(amax, pn.out_name)
             acc = take(x_view.shape, np.float32)
             m_row, b_row, low, high, post, post_scr = requant_params(
                 s_in, scale, shift, s_out, x_view.shape, np.float32)
@@ -1461,28 +1296,15 @@ def _build_int8_step(
             return done(req, (slab, out),
                         _Repr("i8", s_out, pn.out_name), True)
 
-        post, needs_scratch = (None, False) if pn.act is None \
-            else _act_post_op(pn.act.layer.fn)
-        post_scr = take(x_view.shape, np.float32) if needs_scratch else None
-        scale_row = scale.astype(np.float32)
-        shift_row = shift.astype(np.float32)
-        slab, out = arena.acquire(x_view.shape, np.float32)
-
-        def step(x=x_view, scale_row=scale_row, shift_row=shift_row,
-                 out=out, post=post, post_scr=post_scr):
-            np.multiply(x, scale_row, out=out)
-            np.add(out, shift_row, out=out)
-            if post is not None:
-                post(out, post_scr)
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return fallback()
 
     # ---------------------------------------------------------- activation
     if isinstance(spec, ir.Activation):
         if x_repr.kind == "i8":
-            s_out = _scale_for(amax, pn.out_name, levels)
+            s_out = _scale_for(amax, pn.out_name)
             lut = lut_uint8_order(activation_lut(
-                F.ACTIVATIONS_INFER[spec.fn], x_repr.scale, s_out, bits))
+                F.ACTIVATIONS_INFER[spec.fn], x_repr.scale, s_out,
+                _QUANT_BITS))
             slab, out = arena.acquire(x_view.shape, np.int8)
 
             def step(x=x_view, lut=lut, out=out):
@@ -1492,27 +1314,19 @@ def _build_int8_step(
             return done(step, (slab, out),
                         _Repr("i8", s_out, pn.out_name), True)
 
-        fn = F.ACTIVATIONS_INFER[spec.fn]
-        slab, out = arena.acquire(x_view.shape, np.float32)
-
-        def step(x=x_view, fn=fn, out=out):
-            np.copyto(out, fn(x))
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return fallback()
 
     # ------------------------------------------------------ squeeze-excite
     if isinstance(spec, ir.SqueezeExcite):
-        module = executor.module_for(node.name)
-        w1, b1 = module.fc1.weight.data, module.fc1.bias.data
-        w2, b2 = module.fc2.weight.data, module.fc2.bias.data
-        nb, h, w, c = x_view.shape
-        hid = w1.shape[0]
-        pool = take((nb, c), np.float32)
-        hidden = take((nb, hid), np.float32)
-        gate = take((nb, c), np.float32)
-        scr = take(x_view.shape, np.float32)
-
         if x_repr.kind == "i8":
+            module = executor.module_for(node.name)
+            w1, b1 = module.fc1.weight.data, module.fc1.bias.data
+            w2, b2 = module.fc2.weight.data, module.fc2.bias.data
+            nb, h, w, c = x_view.shape
+            pool = take((nb, c), np.float32)
+            hidden = take((nb, w1.shape[0]), np.float32)
+            gate = take((nb, c), np.float32)
+            scr = take(x_view.shape, np.float32)
             s_in = x_repr.scale
             slab, out = arena.acquire(x_view.shape, np.int8)
 
@@ -1537,27 +1351,13 @@ def _build_int8_step(
             return done(step, (slab, out),
                         _Repr("i8", s_in, pn.out_name), True)
 
-        slab, out = arena.acquire(x_view.shape, np.float32)
-
-        def step(x=x_view, pool=pool, hidden=hidden, gate=gate, out=out,
-                 w1=w1, b1=b1, w2=w2, b2=b2, inv_hw=1.0 / (h * w)):
-            np.sum(x, axis=(1, 2), out=pool)
-            np.multiply(pool, inv_hw, out=pool)
-            F.linear_infer(pool, w1, b1, out=hidden)
-            np.maximum(hidden, 0.0, out=hidden)
-            F.linear_infer(hidden, w2, b2, out=gate)
-            np.add(gate, 3.0, out=gate)
-            np.clip(gate, 0.0, 6.0, out=gate)
-            np.multiply(gate, 1.0 / 6.0, out=gate)
-            np.multiply(x, gate[:, None, None, :], out=out)
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return fallback()
 
     # ------------------------------------------------------------ plumbing
     if isinstance(spec, ir.Add):
         if all(rep.kind == "i8" for _, rep in entries):
-            s_out = _scale_for(amax, pn.out_name, levels)
-            direct, low, high, post = _act_requant(pn.act, s_out, levels)
+            s_out = _scale_for(amax, pn.out_name)
+            direct, low, high, post = _act_requant(pn.act, s_out)
             target = s_out if direct else 1.0
             factors = [rep.scale / target for _, rep in entries]
             views = [v for v, _ in entries]
@@ -1596,36 +1396,13 @@ def _build_int8_step(
             return done(step, (slab, out),
                         _Repr("i8", s_out, pn.out_name), True)
 
-        # mixed-representation add: float fallback
-        post, needs_scratch = (None, False) if pn.act is None \
-            else _act_post_op(pn.act.layer.fn)
-        post_scr = take(x_view.shape, np.float32) if needs_scratch else None
-        tmp = take(x_view.shape, np.float32)
-        slab, out = arena.acquire(x_view.shape, np.float32)
-
-        def step(entries=tuple(entries), tmp=tmp, out=out, post=post,
-                 post_scr=post_scr):
-            first_v, first_r = entries[0]
-            if first_r.kind == "i8":
-                np.multiply(first_v, first_r.scale, out=out)
-            else:
-                np.copyto(out, first_v)
-            for v, rep in entries[1:]:
-                if rep.kind == "i8":
-                    np.multiply(v, rep.scale, out=tmp)
-                    np.add(out, tmp, out=out)
-                else:
-                    np.add(out, v, out=out)
-            if post is not None:
-                post(out, post_scr)
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return fallback()  # float or mixed-representation inputs
 
     if isinstance(spec, ir.Concat):
         channels = sum(v.shape[-1] for v, _ in entries)
         out_shape = x_view.shape[:-1] + (channels,)
         if all(rep.kind == "i8" for _, rep in entries):
-            s_out = _scale_for(amax, pn.out_name, levels)
+            s_out = _scale_for(amax, pn.out_name)
             scr = take(out_shape, np.float32)
             slab, out = arena.acquire(out_shape, np.int8)
             pieces = []
@@ -1649,22 +1426,7 @@ def _build_int8_step(
             return done(step, (slab, out),
                         _Repr("i8", s_out, pn.out_name), True)
 
-        slab, out = arena.acquire(out_shape, np.float32)
-        pieces = []
-        offset = 0
-        for v, rep in entries:
-            ci = v.shape[-1]
-            pieces.append((v, rep, offset, offset + ci))
-            offset += ci
-
-        def step(pieces=tuple(pieces), out=out):
-            for v, rep, a, b in pieces:
-                if rep.kind == "i8":
-                    np.multiply(v, rep.scale, out=out[..., a:b])
-                else:
-                    np.copyto(out[..., a:b], v)
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return fallback()  # float or mixed-representation inputs
 
     if isinstance(spec, ir.ChannelSplit):
         start, stop = spec.start, spec.stop
@@ -1680,9 +1442,10 @@ def _build_int8_step(
         return done(step, (slab, out), rep, native)
 
     if isinstance(spec, ir.GlobalAvgPool):
-        nb, h, w, c = x_view.shape
-        slab, out = arena.acquire((nb, c), np.float32)
         if x_repr.kind == "i8":
+            nb, h, w, c = x_view.shape
+            slab, out = arena.acquire((nb, c), np.float32)
+
             def step(xq=x_view, out=out,
                      mean_scale=x_repr.scale / (h * w)):
                 np.sum(xq, axis=(1, 2), out=out)
@@ -1691,39 +1454,19 @@ def _build_int8_step(
             return done(step, (slab, out),
                         _Repr("f32", name=pn.out_name), True)
 
-        def step(x=x_view, out=out, inv_hw=1.0 / (h * w)):
-            np.sum(x, axis=(1, 2), out=out)
-            np.multiply(out, inv_hw, out=out)
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return fallback()
 
     if isinstance(spec, ir.Flatten):
-        if x_view.ndim == 2:
-            native = x_repr.kind == "i8"
-            slab, out = arena.acquire(x_view.shape,
-                                      np.int8 if native else np.float32)
+        if x_repr.kind == "i8" and x_view.ndim == 2:
+            slab, out = arena.acquire(x_view.shape, np.int8)
 
             def step(x=x_view, out=out):
                 np.copyto(out, x)
 
-            rep = _Repr(x_repr.kind, x_repr.scale, pn.out_name)
-            return done(step, (slab, out), rep, native)
+            return done(step, (slab, out),
+                        _Repr("i8", x_repr.scale, pn.out_name), True)
 
-        # Flatten of a 4-d map follows NCHW semantic order: dequantize
-        # (if needed) through a transposed view.
-        nb, h, w, c = x_view.shape
-        flat = (nb, c * h * w)
-        slab, out = arena.acquire(flat, np.float32)
-        out4 = out.reshape(nb, c, h, w)
-        if x_repr.kind == "i8":
-            def step(x=x_view, out4=out4, s=x_repr.scale):
-                np.multiply(x.transpose(0, 3, 1, 2), s, out=out4)
-        else:
-            def step(x=x_view, out4=out4):
-                np.copyto(out4, x.transpose(0, 3, 1, 2))
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name),
-                    x_repr.kind == "i8")
+        return fallback()  # float input, or NCHW-order flatten of a map
 
     if isinstance(spec, ir.Pool2D):
         kh, kw = spec.kernel_hw
@@ -1748,7 +1491,7 @@ def _build_int8_step(
         if x_repr.kind == "i8":
             s_in = x_repr.scale
             if spec.op == "avg":
-                s_out = _scale_for(amax, pn.out_name, levels)
+                s_out = _scale_for(amax, pn.out_name)
                 acc = take(out_shape, np.float32)
                 slab, out = arena.acquire(out_shape, np.int8)
                 win = nhwc_windows(x_view)
@@ -1785,30 +1528,7 @@ def _build_int8_step(
             return done(step, (slab, out),
                         _Repr("i8", s_in, pn.out_name), True)
 
-        # float fallback pooling (NHWC)
-        pad_buf = None
-        xp_static = x_view
-        if any((top, bottom, left, right)):
-            fill = 0.0 if spec.op == "avg" else -np.inf
-            pad_buf = arena.dedicate(np.full(
-                (nb, h + top + bottom, w + left + right, c), fill,
-                dtype=np.float32))
-            extra += pad_buf.nbytes
-            xp_static = pad_buf
-        win = nhwc_windows(xp_static)
-        slab, out = arena.acquire(out_shape, np.float32)
-        if spec.op == "avg":
-            def step(win=win, out=out, inv=1.0 / (kh * kw)):
-                np.sum(win, axis=(3, 4), out=out)
-                np.multiply(out, inv, out=out)
-        else:
-            def step(x=x_view, pad_buf=pad_buf, top=top, left=left, h=h,
-                     w=w, win=win, out=out):
-                if pad_buf is not None:
-                    np.copyto(pad_buf[:, top:top + h, left:left + w, :], x)
-                np.max(win, axis=(3, 4), out=out)
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return fallback()
 
     raise NotImplementedError(
         f"no int8 compiled op for {node.kind} ({node.name})")

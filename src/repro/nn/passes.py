@@ -157,7 +157,7 @@ class PassResult:
 class Transform:
     """Mutable pipeline state for one ``(executor, input_shape, config)``.
 
-    Products the plan builders and the systolic mapper consume:
+    Products the plan builder and the systolic mapper consume:
 
     * ``plan_nodes`` — fuse decisions (which BN / activation nodes
       disappear into their producers);
@@ -446,8 +446,7 @@ def _pass_quantize_int8(tf: Transform) -> PassResult:
     """
     from .compile import _calibrate_activations
 
-    tf.amax = _calibrate_activations(
-        tf.executor, tf.network, tf.input_shape, tf.config, transform=tf)
+    tf.amax = _calibrate_activations(tf)
     return PassResult(name="quantize_int8",
                       details={"calibrated_steps": len(tf.amax)})
 

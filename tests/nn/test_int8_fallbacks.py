@@ -8,6 +8,8 @@ and runs: its ``:float`` label appears and the plan output stays within
 the int8 envelope of the folded float plan (docs/runtime.md).
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -70,19 +72,22 @@ def gap_head_net() -> Network:
     return net
 
 
+#: case -> (network factory, labels the int8 plan must contain, with
+#: multiplicity: the chain has an all-float and a mixed i8+f32 Add, and
+#: an average and a padded max pool).
 CASES = {
-    "chain": (chain_net, {
+    "chain": (chain_net, [
         "Conv2D:float", "SqueezeExcite:float", "Pool2D:float",
-        "ChannelSplit:float", "Concat:float", "Activation:float",
-        "Add:float", "BatchNorm+relu:float", "Flatten:float",
-        "Linear:float",
-    }),
-    "conv_tail": (conv_tail_net, {
+        "Pool2D:float", "ChannelSplit:float", "ChannelSplit:float",
+        "Concat:float", "Activation:float", "Add:float", "Add:float",
+        "BatchNorm+relu:float", "Flatten:float", "Linear:float",
+    ]),
+    "conv_tail": (conv_tail_net, [
         "Conv2D:float", "PointwiseConv2D:int8", "Dequantize",
-    }),
-    "gap_head": (gap_head_net, {
+    ]),
+    "gap_head": (gap_head_net, [
         "Conv2D:float", "GlobalAvgPool:float", "Linear:float",
-    }),
+    ]),
 }
 
 
@@ -109,8 +114,8 @@ def test_fallbacks_compile_and_match_folded(case):
     factory, expected = CASES[case]
     x = _input(factory)
     folded, int8 = _plans(factory, x)
-    missing = expected - set(int8.labels)
-    assert not missing, f"{case}: labels {int8.labels} lack {sorted(missing)}"
+    missing = Counter(expected) - Counter(int8.labels)
+    assert not missing, f"{case}: labels {int8.labels} lack {dict(missing)}"
     assert int8.stats.int8_fallbacks == sum(
         lbl.endswith(":float") for lbl in int8.labels)
     want = folded.run(x)
@@ -119,10 +124,3 @@ def test_fallbacks_compile_and_match_folded(case):
     err = float(np.max(np.abs(got - want)))
     assert err < 0.1, f"{case}: int8 error {err} out of envelope"
 
-
-def test_chain_exercises_both_float_add_flavors():
-    """The all-float and the mixed i8+f32 Add both fall back."""
-    _, int8 = _plans(chain_net, _input(chain_net))
-    adds = [lbl for lbl in int8.labels if lbl.startswith("Add")]
-    assert adds == ["Add:float", "Add:float"]
-    assert int8.labels.count("Pool2D:float") == 2  # avg + padded max

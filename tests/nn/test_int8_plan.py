@@ -87,15 +87,6 @@ class TestInt8Coverage:
         assert metric is not None
         assert metric.value == float(plan.stats.int8_fallbacks)
 
-    def test_quantize_bits_validated(self):
-        net = full_vocabulary_net()
-        executor = GraphExecutor(net, seed=0)
-        executor.eval()
-        shape = (2,) + tuple(net.input_shape)
-        with pytest.raises(NotImplementedError, match="quantize_bits"):
-            compile_executor(executor, shape,
-                             CompileConfig(quantize=True, quantize_bits=16))
-
 
 class TestCalibrationData:
     def _input_shape(self, net, batch=2):
