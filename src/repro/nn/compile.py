@@ -1029,7 +1029,7 @@ def _build_int8_step(
     only written while its own step runs.  Ops without an integer kernel
     for their inputs go through :func:`_build_step` (``fallback``).
     """
-    executor, amax, levels = transform.executor, transform.amax, _LEVELS
+    executor, amax = transform.executor, transform.amax
     node = pn.node
     spec = node.layer
     x_view, x_repr = entries[0]
@@ -1056,7 +1056,7 @@ def _build_int8_step(
         qv = take(view.shape, np.int8)
         fv = take(view.shape, np.float32)
 
-        def prep(view=view, qv=qv, fv=fv, inv=1.0 / s, lv=levels):
+        def prep(view=view, qv=qv, fv=fv, inv=1.0 / s, lv=_LEVELS):
             np.multiply(view, inv, out=fv)
             np.rint(fv, out=fv)
             np.clip(fv, -lv, lv, out=fv)
@@ -1412,7 +1412,7 @@ def _build_int8_step(
                 pieces.append((v, rep.scale / s_out, offset, offset + ci))
                 offset += ci
 
-            def step(pieces=tuple(pieces), scr=scr, out=out, lv=levels):
+            def step(pieces=tuple(pieces), scr=scr, out=out, lv=_LEVELS):
                 for v, f, a, b in pieces:
                     if f == 1.0:
                         np.copyto(out[..., a:b], v)
@@ -1498,7 +1498,7 @@ def _build_int8_step(
                 req = requant_into(
                     acc, acc,
                     np.float32(s_in / (kh * kw) / s_out), None,
-                    -levels, levels, out)
+                    -_LEVELS, _LEVELS, out)
 
                 def step(win=win, acc=acc, req=req):
                     np.sum(win, axis=(3, 4), out=acc)
