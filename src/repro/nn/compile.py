@@ -21,6 +21,10 @@ turning a ``GraphExecutor`` plus a concrete input shape into an
   folded into its weights and bias; a following ReLU / ReLU6 / h-swish
   (any :data:`repro.nn.functional.ACTIVATIONS` entry) is fused as an
   in-place post-op on the producer's output buffer;
+* **padding-only tap elimination** — a depthwise or FuSe-1D filter tap
+  that reads zero padding at every output position (most of a 5×5
+  window on a 2×2 map) is cropped from the weights and the window, with
+  the pad buffer sized for the crop; float-close and int8 plans only;
 * **arena memory planning** — output buffers are views into a pool of
   slabs recycled by liveness (a buffer returns to the pool after its last
   consumer), so a whole forward runs in a fixed, preallocated footprint.
@@ -323,6 +327,51 @@ def _conv_out_shape(in_shape, w4, stride_hw, padding, groups):
     oh = (h + top + bottom - kh) // sh + 1
     ow = (w + left + right - kw) // sw + 1
     return (n, c_out, oh, ow), (top, bottom, left, right)
+
+
+def _live_taps(kernel: int, pad: int, size: int, stride: int,
+               out: int) -> Tuple[int, int]:
+    """Taps ``[k0, k1)`` of one conv axis that read at least one input pixel.
+
+    Output ``o``'s tap ``t`` reads padded index ``o·stride + t`` and the
+    input occupies ``[pad, pad + size)``, so a tap outside ``[k0, k1)``
+    reads zero padding at every output position.  ``(0, 0)`` when no tap
+    reads the input.
+    """
+    live = []
+    for t in range(kernel):
+        o = max(0, -(-(pad - t) // stride))  # first output reaching the input
+        if o < out and o * stride + t < pad + size:
+            live.append(t)
+    return (live[0], live[-1] + 1) if live else (0, 0)
+
+
+def _tap_crop(in_hw, kernel_hw, stride_hw, pads, out_hw):
+    """Padding-only tap elimination for a channelwise conv.
+
+    ``None`` when every tap is live (or none is): the full window is
+    already the live one.  Otherwise ``(taps, read_hw, pads)``: the live
+    tap ranges ``((k0, k1), (l0, l1))``, how many leading input rows and
+    columns the cropped window reads, and the ``(top, bottom, left,
+    right)`` zero padding around them.  The conv of those rows/cols with
+    that padding and the cropped filter has the same output shape, and
+    the same products bar the padding-only ones, as the full conv.
+    """
+    taps, read, crop_pads = [], [], []
+    for size, k, s, before, out in zip(in_hw, kernel_hw, stride_hw,
+                                       pads[::2], out_hw):
+        k0, k1 = _live_taps(k, before, size, s, out)
+        if k0 == k1:
+            return None
+        span = (out - 1) * s + k1 - k0  # padded extent the crop reads
+        lead = before - k0              # >= 0: tap `before` reads pixel 0
+        rows = min(size, span - lead)
+        taps.append((k0, k1))
+        read.append(rows)
+        crop_pads += [lead, span - lead - rows]
+    if taps == [(0, kernel_hw[0]), (0, kernel_hw[1])]:
+        return None
+    return tuple(taps), tuple(read), tuple(crop_pads)
 
 
 # ---------------------------------------------------------------- the plan
@@ -676,6 +725,24 @@ def _build_step(
             executor.module_for(node.name), node)
         w4, bias = transform.weight_for(node)
         out_shape, pads = _conv_out_shape(x.shape, w4, stride_hw, padding, groups)
+        c_out, c_g, kh, kw = w4.shape
+        og = c_out // groups
+        c_in = x.shape[1]
+        sh, sw = stride_hw
+        channelwise = groups == c_in and og == 1 and c_g == 1
+        # Padding-only taps are dropped from float-close plans only: an
+        # einsum over fewer taps need not round like eager's full window.
+        crop = _tap_crop(x.shape[2:], (kh, kw), stride_hw, pads,
+                         out_shape[2:]) \
+            if channelwise and transform.config.fold_bn else None
+        if crop is not None:
+            ((k0, k1), (l0, l1)), (rows, cols), pads = crop
+            x = x[:, :, :rows, :cols]
+            w4 = np.ascontiguousarray(w4[:, :, k0:k1, l0:l1])
+            kh, kw = k1 - k0, l1 - l0
+            # With a pad buffer conv2d_infer only needs (top, left) to
+            # place the interior; without one both are 0.
+            padding = (pads[0], pads[2])
         top, bottom, left, right = pads
         pad_buf = None
         if any(pads):
@@ -686,10 +753,6 @@ def _build_step(
         # Constant-fold the contraction order (identical to what the
         # kernel's optimize=True would pick per call).  Mirror the
         # depthwise/grouped branch of :func:`conv2d_infer`.
-        c_out, c_g, kh, kw = w4.shape
-        og = c_out // groups
-        c_in = x.shape[1]
-        sh, sw = stride_hw
         xp = pad_buf if pad_buf is not None else x
         packed = None if transform.packing is None \
             else transform.packing.get(node.name)
@@ -744,7 +807,7 @@ def _build_step(
 
             return finish(out_shape, run_core)
         win = _windows(xp, kh, kw, *stride_hw)
-        if groups == c_in and og == 1 and c_g == 1:
+        if channelwise:
             path = np.einsum_path(
                 "nchwkl,ckl->nchw", win, w4.reshape(c_in, kh, kw),
                 optimize=True)[0]
@@ -1172,6 +1235,16 @@ def _build_int8_step(
             if depthwise:
                 w_lanes = wq.reshape(c, kh, kw).transpose(1, 2, 0) \
                     .astype(np.float32)
+                # Padding-only taps add exact zeros to the integer
+                # accumulator: dropping them is bit-identical.  The
+                # weights were quantized whole, so the scales keep the
+                # dropped taps' range.
+                crop = _tap_crop((h, w), (kh, kw), (sh, sw), pads, (oh, ow))
+                if crop is not None:
+                    ((k0, k1), (l0, l1)), (h, w), pads = crop
+                    xq = xq[:, :h, :w, :]
+                    w_lanes = np.ascontiguousarray(w_lanes[k0:k1, l0:l1])
+                    top, bottom, left, right = pads
                 pad_buf = None
                 if any(pads):
                     pad_buf = arena.dedicate(np.zeros(

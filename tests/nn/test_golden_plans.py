@@ -17,6 +17,17 @@ The ``sparse`` / ``sparse_int8`` entries were added later, generated from
 the compiler as it stood before the float and int8 plan builders merged
 into one driver; that regen left the nine earlier entries byte-identical.
 
+The entries were regenerated once more when the float-close and int8
+plans began dropping the taps of depthwise / FuSe-1D convs that read
+only zero padding.  Every ``exact`` entry stayed byte-identical, as did
+each entry's labels, op/fold/fusion/int8 counts, ``pooled_bytes`` and
+output shape and dtype.  ``output_sha256`` changed for the ``folded``,
+``int8``, ``sparse`` and ``sparse_int8`` presets of both zoo networks
+(all but ``v3s_fuse/sparse_int8``): a float einsum over fewer taps
+rounds differently, and the int8 presets calibrate on a folded float
+plan.  ``arena_bytes`` and ``naive_bytes`` shrank on the same entries,
+because the cropped convs need smaller pad buffers or none.
+
 Regenerate ONLY when a deliberate, reviewed behavior change to the plan
 builder lands — never to paper over an accidental diff.
 """
