@@ -54,15 +54,17 @@ serve-smoke:
 # (zero unhandled exceptions, >=99% of non-shed requests answered OK,
 # server healthy afterwards, p99 under the degradation bound).  The same
 # seed replays the same fault schedule and request stream; the metrics
-# sidecar (faults.injected.*, resilience.*, serve.chaos.*) is committed
-# as the reference run.
+# sidecar (faults.injected.*, resilience.*, serve.chaos.*) is validated
+# and removed; benchmarks/results/BENCH_chaos.json is the committed
+# reference run (regenerate it with --metrics-out pointing there).
 chaos-smoke:
 	timeout 300 python -m repro loadgen mobilenet_v3_small:full \
 		--resolution 32 --requests 120 --clients 6 --workers 2 \
 		--slo-ms 400 --chaos --check --quiet \
-		--metrics-out benchmarks/results/BENCH_chaos.json
-	python -m repro.obs.validate benchmarks/results/BENCH_chaos.json
-	python -c "import json,sys; names={m['name'] for m in json.load(open('benchmarks/results/BENCH_chaos.json'))['metrics']}; missing=[n for n in ('serve.chaos.answered_rate','serve.chaos.faults_fired','serve.chaos.unhandled_failures','resilience.degraded_responses') if n not in names]; sys.exit('missing gauges: %s' % missing if missing else 0)"
+		--metrics-out .smoke-chaos.json
+	python -m repro.obs.validate .smoke-chaos.json
+	python -c "import json,sys; names={m['name'] for m in json.load(open('.smoke-chaos.json'))['metrics']}; missing=[n for n in ('serve.chaos.answered_rate','serve.chaos.faults_fired','serve.chaos.unhandled_failures','resilience.degraded_responses') if n not in names]; sys.exit('missing gauges: %s' % missing if missing else 0)"
+	rm -f .smoke-chaos.json
 
 # Telemetry smoke (docs/observability.md): a short traced loadgen run
 # must leave (1) a metrics sidecar that renders to parseable Prometheus
@@ -85,8 +87,9 @@ telemetry-smoke:
 # errors, >=99% of non-shed requests answered, only the victim's lanes
 # moved, same-seed replay fingerprint identical) and the metrics sidecar
 # must carry the fleet.chaos.* / fleet.router.* series.  The scaling
-# comparison (single node vs 4 replicas, core-count-honest gates) is
-# regenerated by bench_fleet.py into benchmarks/results/BENCH_fleet.json.
+# comparison (single node vs 4 replicas, core-count-honest gates) runs
+# through bench_fleet.py into a scratch record; the committed reference
+# is benchmarks/results/BENCH_fleet.json (bench_fleet.py --smoke writes it).
 fleet-smoke:
 	timeout 300 python -m repro loadgen mobilenet_v3_small --resolution 32 \
 		--requests 120 --clients 6 --workers 2 --engine analytical \
@@ -95,7 +98,10 @@ fleet-smoke:
 	python -m repro.obs.validate .smoke-fleet.json
 	python -c "import json,sys; names={m['name'] for m in json.load(open('.smoke-fleet.json'))['metrics']}; missing=[n for n in ('fleet.chaos.answered_rate','fleet.chaos.reroutes','fleet.chaos.unhandled_failures','fleet.router.requests') if n not in names]; sys.exit('missing gauges: %s' % missing if missing else 0)"
 	rm -f .smoke-fleet.json
-	timeout 300 python benchmarks/bench_fleet.py --smoke
+	timeout 300 python benchmarks/bench_fleet.py --smoke \
+		--out .smoke-fleet-bench.json
+	python -c "import json,sys; r=json.load(open('.smoke-fleet-bench.json')); sys.exit(0 if r['ok'] else 'fleet bench gates failed: %s' % r['gates'])"
+	rm -f .smoke-fleet-bench.json
 
 # Gray-failure smoke (docs/robustness.md): the gray drill — one replica's
 # forward hop stalled ~20x its healthy p50 under live traffic — must hold
@@ -103,10 +109,14 @@ fleet-smoke:
 # baseline, zero duplicate responses, zero unhandled errors, the victim
 # detected SLOW, hedges == wins + losses, identical same-seed fingerprint)
 # and the warm-gated scale-up must serve nothing cold and compile nothing
-# after its gate opens.  The hedging on/off ablation result is written to
-# benchmarks/results/BENCH_gray.json.
+# after its gate opens.  The hedging on/off ablation goes to a scratch
+# record; the committed reference is benchmarks/results/BENCH_gray.json
+# (bench_hedging.py --smoke writes it).
 gray-smoke:
-	timeout 300 python benchmarks/bench_hedging.py --smoke
+	timeout 300 python benchmarks/bench_hedging.py --smoke \
+		--out .smoke-gray.json
+	python -c "import json,sys; r=json.load(open('.smoke-gray.json')); sys.exit(0 if r['ok'] else 'gray bench gates failed: %s' % r['gates'])"
+	rm -f .smoke-gray.json
 	timeout 300 python -m repro loadgen mobilenet_v3_small --resolution 32 \
 		--requests 120 --clients 4 --engine analytical --slo-ms 30000 \
 		--gray --check --quiet
@@ -114,27 +124,39 @@ gray-smoke:
 # Compiled-runtime smoke (docs/runtime.md): the exact plan must stay
 # bit-identical to eager, the folded plan within 1e-4, and faster than
 # eager (the full >=2x claim is asserted by bench_compile.py under
-# pytest-benchmark; the smoke floor tolerates loaded CI hosts).  Writes
-# benchmarks/results/BENCH_compile.json.
+# pytest-benchmark; the smoke floor tolerates loaded CI hosts).  The
+# record goes to a scratch file; bench_compile.py without --out writes
+# the committed benchmarks/results/BENCH_compile.json.
 compile-smoke:
-	timeout 180 python benchmarks/bench_compile.py --smoke
+	timeout 180 python benchmarks/bench_compile.py --smoke \
+		--out .smoke-compile.json
+	python -c "import json,sys; r=json.load(open('.smoke-compile.json')); sys.exit(0 if r['exact_bit_identical'] and r['folded_max_abs_err'] <= 1e-4 else 'bad compile record')"
+	rm -f .smoke-compile.json
 
 # Int8 quantization smoke (docs/runtime.md): trains V3-Small on the
 # synthetic task (~1 min), calibrates the int8 plan on the training
 # batches, and gates the acceptance claims — >=1.3x over the folded
 # float plan at batch 8 with <=1pp top-1 drop on the held-out split.
-# Writes benchmarks/results/BENCH_quantize.json.
+# The record goes to a scratch file; bench_quantize.py without --out
+# writes the committed benchmarks/results/BENCH_quantize.json.
 quantize-smoke:
-	timeout 300 python benchmarks/bench_quantize.py --smoke
+	timeout 300 python benchmarks/bench_quantize.py --smoke \
+		--out .smoke-quantize.json
+	python -c "import json,sys; sys.path.insert(0,'benchmarks'); from bench_quantize import check; sys.exit('; '.join(check(json.load(open('.smoke-quantize.json')))) or 0)"
+	rm -f .smoke-quantize.json
 
 # Sparsity + column-combining smoke (docs/performance.md): trains
 # V3-Small, prunes to 75% with the pass pipeline, fine-tunes under the
 # masks, and gates the acceptance claims — >=1.5x analytical packed
 # speedup at γ=8 on a 32x32 array, <=1pp top-1 drop after fine-tune,
 # and the γ=1 identity packing within 1% of the dense schedule.
-# Writes benchmarks/results/BENCH_sparsity.json.
+# The record goes to a scratch file; bench_sparsity.py without --out
+# writes the committed benchmarks/results/BENCH_sparsity.json.
 sparsity-smoke:
-	timeout 900 python benchmarks/bench_sparsity.py --smoke
+	timeout 900 python benchmarks/bench_sparsity.py --smoke \
+		--out .smoke-sparsity.json
+	python -c "import json,sys; sys.path.insert(0,'benchmarks'); from bench_sparsity import check; sys.exit('; '.join(check(json.load(open('.smoke-sparsity.json')))) or 0)"
+	rm -f .smoke-sparsity.json
 
 bench:
 	pytest benchmarks/ --benchmark-only

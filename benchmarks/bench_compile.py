@@ -4,84 +4,146 @@ Measures the headline claim of the compiled runtime (docs/runtime.md):
 MobileNet-V3-Small at batch 8 / resolution 32 runs >=2x faster through a
 folded :class:`~repro.nn.compile.InferencePlan` than through the eager
 :class:`~repro.nn.graph.GraphExecutor`, while the exact (no-fold) plan
-stays bit-identical and the folded plan stays within 1e-4.  The int8
-preset rides along as a third flavor column (its accuracy gate lives in
-``bench_quantize.py``, which needs a trained model).
+stays bit-identical and the folded plan stays within 1e-4.  The folded
+and int8 plans of the FuSe-Full and FuSe-Half variants are timed beside
+the baseline's (the int8 accuracy gate lives in ``bench_quantize.py``,
+which needs a trained model).  Every plan is timed round-robin over the
+same repeats and reported as the median with its p10/p90 spread, next
+to the host it ran on.
 
 Also runnable directly as the ``make compile-smoke`` gate::
 
     python benchmarks/bench_compile.py --smoke
 
-which writes ``benchmarks/results/BENCH_compile.json`` and exits non-zero
-if the exact plan is not bit-identical, the folded error exceeds 1e-4, or
-the speedup falls under ``--min-speedup``.
+which writes ``benchmarks/results/BENCH_compile.json`` (or ``--out``)
+and exits non-zero if the exact plan is not bit-identical, the folded
+error exceeds 1e-4, or the speedup falls under ``--min-speedup``.
 """
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro.core import FuSeVariant, to_fuseconv
 from repro.models import build_model
 from repro.nn import CompileConfig, GraphExecutor, Tensor, compile_executor
 
 RESULTS_DIR = Path(__file__).parent / "results"
 FOLD_TOLERANCE = 1e-4
+REPEATS = 15
+VARIANTS = {"baseline": None, "full": FuSeVariant.FULL,
+            "half": FuSeVariant.HALF}
 
 
-def _best_ms(fn, repeats: int) -> float:
-    times = []
+def _host() -> dict:
+    """Cores, CPU model, numpy/Python versions and the git commit."""
+    cpu = None
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    return {"cores": os.cpu_count(), "cpu_model": cpu,
+            "numpy": np.__version__, "python": platform.python_version(),
+            "git_sha": sha}
+
+
+def _timings(fns: dict, repeats: int) -> dict:
+    """Median and p10/p90 wall ms per callable, timed round-robin."""
+    times = {name: [] for name in fns}
+    for fn in fns.values():
+        fn()  # warm-up
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times) * 1000.0
+        for name, fn in fns.items():
+            start = time.perf_counter()
+            fn()
+            times[name].append((time.perf_counter() - start) * 1000.0)
+    out = {}
+    for name, ts in times.items():
+        p10, p50, p90 = np.percentile(ts, [10, 50, 90])
+        out[name] = {"median": float(p50), "p10": float(p10),
+                     "p90": float(p90)}
+    return out
 
 
 def run_compile_benchmark(network: str = "mobilenet_v3_small", batch: int = 8,
-                          resolution: int = 32, repeats: int = 5,
+                          resolution: int = 32, repeats: int = REPEATS,
                           seed: int = 0) -> dict:
-    """Eager vs exact-plan vs folded-plan on one model; returns the record."""
-    net = build_model(network, num_classes=10, resolution=resolution)
-    executor = GraphExecutor(net, seed=seed)
-    executor.eval()
-    shape = (batch,) + tuple(net.input_shape)
+    """Eager vs the exact/folded/int8 plans of every variant; the record."""
+    base = build_model(network, num_classes=10, resolution=resolution)
+    shape = (batch,) + tuple(base.input_shape)
     x = np.random.default_rng(seed + 1).standard_normal(shape).astype(np.float32)
 
-    folded = compile_executor(executor, shape)
-    exact = compile_executor(executor, shape, CompileConfig.exact())
-    int8 = compile_executor(executor, shape, CompileConfig.int8())
+    fns, errors, plans = {}, {}, {}
+    for variant, fuse in VARIANTS.items():
+        net = base if fuse is None else to_fuseconv(base, fuse)
+        executor = GraphExecutor(net, seed=seed)
+        executor.eval()
+        ref = executor(Tensor(x)).data
+        folded = compile_executor(executor, shape)
+        int8 = compile_executor(executor, shape, CompileConfig.int8())
+        errors[variant] = float(np.max(np.abs(
+            folded.run(x).astype(np.float64) - ref.astype(np.float64))))
+        if fuse is None:
+            eager_executor, eager_ref = executor, ref
+            exact = compile_executor(executor, shape, CompileConfig.exact())
+            fns["eager"] = lambda: eager_executor(Tensor(x))
+            fns["baseline.exact"] = lambda: exact.run(x)
+        plans[variant] = (folded, int8)
+        fns[f"{variant}.folded"] = lambda p=folded: p.run(x)
+        fns[f"{variant}.int8"] = lambda p=int8: p.run(x)
+    timings = _timings(fns, repeats)
+    ms = {name: t["median"] for name, t in timings.items()}
 
-    ref = executor(Tensor(x)).data
-    folded_err = float(np.max(np.abs(
-        folded.run(x).astype(np.float64) - ref.astype(np.float64)
-    )))
-    eager_ms = _best_ms(lambda: executor(Tensor(x)), repeats)
-    plan_ms = _best_ms(lambda: folded.run(x), repeats)
-    exact_ms = _best_ms(lambda: exact.run(x), repeats)
-    int8_ms = _best_ms(lambda: int8.run(x), repeats)
-
+    folded, int8 = plans["baseline"]
     s = folded.stats
     return {
         "network": network,
         "batch": batch,
         "resolution": resolution,
         "repeats": repeats,
-        "eager_ms": eager_ms,
-        "plan_ms": plan_ms,
-        "exact_plan_ms": exact_ms,
-        "int8_plan_ms": int8_ms,
-        "speedup": eager_ms / plan_ms,
-        "exact_speedup": eager_ms / exact_ms,
-        "int8_speedup": eager_ms / int8_ms,
-        "int8_vs_folded": plan_ms / int8_ms,
+        "statistic": "median",
+        "host": _host(),
+        "timings_ms": timings,
+        "variants": {
+            variant: {
+                "folded_ms": ms[f"{variant}.folded"],
+                "int8_ms": ms[f"{variant}.int8"],
+                "folded_vs_eager": ms["eager"] / ms[f"{variant}.folded"],
+                "int8_vs_folded":
+                    ms[f"{variant}.folded"] / ms[f"{variant}.int8"],
+                "folded_max_abs_err": errors[variant],
+            }
+            for variant in VARIANTS
+        },
+        "eager_ms": ms["eager"],
+        "plan_ms": ms["baseline.folded"],
+        "exact_plan_ms": ms["baseline.exact"],
+        "int8_plan_ms": ms["baseline.int8"],
+        "speedup": ms["eager"] / ms["baseline.folded"],
+        "exact_speedup": ms["eager"] / ms["baseline.exact"],
+        "int8_speedup": ms["eager"] / ms["baseline.int8"],
+        "int8_vs_folded": ms["baseline.folded"] / ms["baseline.int8"],
         "int8_ops": int8.stats.int8_ops,
         "int8_fallbacks": int8.stats.int8_fallbacks,
-        "exact_bit_identical": bool(exact.run(x).tobytes() == ref.tobytes()),
-        "folded_max_abs_err": folded_err,
+        "exact_bit_identical": bool(
+            exact.run(x).tobytes() == eager_ref.tobytes()),
+        "folded_max_abs_err": errors["baseline"],
         "nodes": s.nodes,
         "ops": s.ops,
         "folded_bn": s.folded_bn,
@@ -94,30 +156,44 @@ def run_compile_benchmark(network: str = "mobilenet_v3_small", batch: int = 8,
 
 
 def render(result: dict) -> str:
-    return "\n".join([
+    t = result["timings_ms"]
+    host = result["host"]
+
+    def cell(name):
+        m = t[name]
+        return f"{m['median']:7.2f} ms [{m['p10']:.2f}-{m['p90']:.2f}]"
+
+    lines = [
         f"compiled runtime: {result['network']} "
         f"(batch {result['batch']}, res {result['resolution']}, "
-        f"best of {result['repeats']})",
-        f"  eager       : {result['eager_ms']:.2f} ms",
-        f"  exact plan  : {result['exact_plan_ms']:.2f} ms  "
-        f"({result['exact_speedup']:.2f}x, bit-identical="
+        f"median [p10-p90] of {result['repeats']}; "
+        f"{host['cores']} cores, {host['cpu_model']})",
+        f"  eager                : {cell('eager')}",
+        f"  baseline exact plan  : {cell('baseline.exact')}  "
+        f"({result['exact_speedup']:.2f}x eager, bit-identical="
         f"{result['exact_bit_identical']})",
-        f"  folded plan : {result['plan_ms']:.2f} ms  "
-        f"({result['speedup']:.2f}x, max|err|={result['folded_max_abs_err']:.2e})",
-        f"  int8 plan   : {result['int8_plan_ms']:.2f} ms  "
-        f"({result['int8_speedup']:.2f}x eager, "
-        f"{result['int8_vs_folded']:.2f}x folded; "
-        f"{result['int8_ops']} int8 ops, "
+    ]
+    for variant, v in result["variants"].items():
+        lines += [
+            f"  {variant + ' folded plan':<21}: {cell(variant + '.folded')}  "
+            f"({v['folded_vs_eager']:.2f}x eager, "
+            f"max|err|={v['folded_max_abs_err']:.2e})",
+            f"  {variant + ' int8 plan':<21}: {cell(variant + '.int8')}  "
+            f"({v['int8_vs_folded']:.2f}x folded)",
+        ]
+    lines += [
+        f"  int8 (baseline)      : {result['int8_ops']} int8 ops, "
         f"{result['int8_fallbacks']} fallbacks — accuracy gated by "
-        f"bench_quantize.py)",
-        f"  fusion      : {result['nodes']} nodes -> {result['ops']} ops "
-        f"({result['folded_bn']} BN folded, "
+        f"bench_quantize.py",
+        f"  fusion (baseline)    : {result['nodes']} nodes -> "
+        f"{result['ops']} ops ({result['folded_bn']} BN folded, "
         f"{result['fused_activations']} activations fused)",
-        f"  arena       : {result['arena_bytes'] / 1024:.0f} KiB vs "
+        f"  arena (baseline)     : {result['arena_bytes'] / 1024:.0f} KiB vs "
         f"{result['naive_bytes'] / 1024:.0f} KiB naive "
         f"({result['arena_saving'] * 100:.1f}% saved); "
         f"compile {result['compile_ms']:.1f} ms",
-    ])
+    ]
+    return "\n".join(lines)
 
 
 def write_json(result: dict) -> Path:
@@ -141,7 +217,7 @@ def test_compiled_runtime_speedup(benchmark, save):
     out = benchmark(plan.run, x)
     assert out.shape == (8, 10)
 
-    result = run_compile_benchmark(repeats=5)
+    result = run_compile_benchmark()
     write_json(result)
     save("BENCH_compile", render(result))
     assert result["exact_bit_identical"]
@@ -172,10 +248,10 @@ def main(argv=None) -> int:
     parser.add_argument("--network", default="mobilenet_v3_small")
     parser.add_argument("--batch", type=int, default=8)
     parser.add_argument("--resolution", type=int, default=32)
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=REPEATS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--smoke", action="store_true",
-                        help="fast gate: fewer repeats, relaxed speedup floor")
+                        help="gate with the relaxed speedup floor")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail under this folded-plan speedup "
                              "(default: 2.0, or 1.0 with --smoke)")
@@ -186,10 +262,11 @@ def main(argv=None) -> int:
     min_speedup = args.min_speedup
     if min_speedup is None:
         min_speedup = 1.0 if args.smoke else 2.0
-    repeats = 3 if args.smoke and args.repeats == 5 else args.repeats
+    if args.repeats < REPEATS:
+        parser.error(f"--repeats must be at least {REPEATS}")
 
     result = run_compile_benchmark(args.network, args.batch, args.resolution,
-                                   repeats, args.seed)
+                                   args.repeats, args.seed)
     print(render(result))
     if args.out:
         path = Path(args.out)
