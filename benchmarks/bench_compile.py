@@ -23,8 +23,6 @@ error exceeds 1e-4, or the speedup falls under ``--min-speedup``.
 import argparse
 import json
 import os
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -34,6 +32,7 @@ import numpy as np
 from repro.core import FuSeVariant, to_fuseconv
 from repro.models import build_model
 from repro.nn import CompileConfig, GraphExecutor, Tensor, compile_executor
+from repro.obs import run_header
 
 RESULTS_DIR = Path(__file__).parent / "results"
 FOLD_TOLERANCE = 1e-4
@@ -43,7 +42,7 @@ VARIANTS = {"baseline": None, "full": FuSeVariant.FULL,
 
 
 def _host() -> dict:
-    """Cores, CPU model, numpy/Python versions and the git commit."""
+    """The repro run header (sha, Python, platform) plus cores, CPU, numpy."""
     cpu = None
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -52,15 +51,8 @@ def _host() -> dict:
                 break
     except OSError:
         pass
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
-            capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        sha = None
-    return {"cores": os.cpu_count(), "cpu_model": cpu,
-            "numpy": np.__version__, "python": platform.python_version(),
-            "git_sha": sha}
+    return run_header(extra={"cores": os.cpu_count(), "cpu_model": cpu,
+                             "numpy": np.__version__})
 
 
 def _timings(fns: dict, repeats: int) -> dict:
